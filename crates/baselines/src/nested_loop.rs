@@ -1,7 +1,9 @@
 //! The nested loop join — the textbook worst case (Section 2.1).
 
-use touch_core::{deliver, kernels, PairSink, SpatialJoinAlgorithm};
-use touch_geom::Dataset;
+use touch_core::{
+    deliver, join_in_one_phase, kernels, ExecControl, JoinError, JoinInput, PairSink,
+    SpatialJoinAlgorithm,
+};
 use touch_metrics::{Phase, RunReport};
 
 /// Nested loop join: compares every object of A against every object of B.
@@ -24,17 +26,25 @@ impl SpatialJoinAlgorithm for NestedLoopJoin {
         "NL".to_string()
     }
 
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        let mut counters = std::mem::take(&mut report.counters);
-        let mut results = 0u64;
-        report.timer.time(Phase::Join, || {
-            kernels::all_pairs(a.objects(), b.objects(), &mut counters, &mut |x, y| {
-                deliver(sink, x, y, &mut results)
+    fn try_join_into(
+        &self,
+        input: JoinInput<'_>,
+        sink: &mut dyn PairSink,
+        report: &mut RunReport,
+        ctl: ExecControl<'_>,
+    ) -> Result<(), JoinError> {
+        join_in_one_phase(input, sink, report, ctl, |a, b, sink, report| {
+            let mut counters = std::mem::take(&mut report.counters);
+            let mut results = 0u64;
+            report.timer.time(Phase::Join, || {
+                kernels::all_pairs(a.objects(), b.objects(), &mut counters, &mut |x, y| {
+                    deliver(sink, x, y, &mut results)
+                });
             });
-        });
-        counters.results += results;
-        report.counters = counters;
-        report.memory_bytes = 0;
+            counters.results += results;
+            report.counters = counters;
+            report.memory_bytes = 0;
+        })
     }
 }
 
@@ -42,7 +52,7 @@ impl SpatialJoinAlgorithm for NestedLoopJoin {
 mod tests {
     use super::*;
     use touch_core::collect_join;
-    use touch_geom::{Aabb, Point3};
+    use touch_geom::{Aabb, Dataset, Point3};
 
     #[test]
     fn exact_comparison_count_and_results() {

@@ -7,8 +7,11 @@
 //! but is faster because the trees are traversed once, synchronously, instead of once
 //! per probe object — at the cost of keeping two trees in memory.
 
-use touch_core::{deliver, kernels, PairSink, SpatialJoinAlgorithm};
-use touch_geom::{Dataset, ObjectId};
+use touch_core::{
+    deliver, join_in_one_phase, kernels, ExecControl, JoinError, JoinInput, PairSink,
+    SpatialJoinAlgorithm,
+};
+use touch_geom::ObjectId;
 use touch_index::{PackedRTree, RTreeNode};
 use touch_metrics::{Counters, MemoryUsage, Phase, RunReport};
 
@@ -37,29 +40,38 @@ impl SpatialJoinAlgorithm for RTreeSyncJoin {
         "RTree".to_string()
     }
 
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        let mut counters = std::mem::take(&mut report.counters);
+    fn try_join_into(
+        &self,
+        input: JoinInput<'_>,
+        sink: &mut dyn PairSink,
+        report: &mut RunReport,
+        ctl: ExecControl<'_>,
+    ) -> Result<(), JoinError> {
+        join_in_one_phase(input, sink, report, ctl, |a, b, sink, report| {
+            let mut counters = std::mem::take(&mut report.counters);
 
-        // Build one tree per dataset.
-        let (tree_a, tree_b) = report.timer.time(Phase::Build, || {
-            (
-                PackedRTree::build(a.objects(), self.leaf_capacity, self.fanout),
-                PackedRTree::build(b.objects(), self.leaf_capacity, self.fanout),
-            )
-        });
+            // Build one tree per dataset.
+            let (tree_a, tree_b) = report.timer.time(Phase::Build, || {
+                (
+                    PackedRTree::build(a.objects(), self.leaf_capacity, self.fanout),
+                    PackedRTree::build(b.objects(), self.leaf_capacity, self.fanout),
+                )
+            });
 
-        let mut results = 0u64;
-        report.timer.time(Phase::Join, || {
-            if let (Some(ra), Some(rb)) = (tree_a.root_index(), tree_b.root_index()) {
-                let _ = sync_traverse(&tree_a, &tree_b, ra, rb, &mut counters, &mut |ia, ib| {
-                    deliver(sink, ia, ib, &mut results)
-                });
-            }
-        });
+            let mut results = 0u64;
+            report.timer.time(Phase::Join, || {
+                if let (Some(ra), Some(rb)) = (tree_a.root_index(), tree_b.root_index()) {
+                    let _ =
+                        sync_traverse(&tree_a, &tree_b, ra, rb, &mut counters, &mut |ia, ib| {
+                            deliver(sink, ia, ib, &mut results)
+                        });
+                }
+            });
 
-        counters.results += results;
-        report.counters = counters;
-        report.memory_bytes = tree_a.memory_bytes() + tree_b.memory_bytes();
+            counters.results += results;
+            report.counters = counters;
+            report.memory_bytes = tree_a.memory_bytes() + tree_b.memory_bytes();
+        })
     }
 }
 
@@ -139,7 +151,7 @@ mod tests {
     use super::*;
     use crate::{IndexedNestedLoopJoin, NestedLoopJoin};
     use touch_core::collect_join;
-    use touch_geom::{Aabb, Point3};
+    use touch_geom::{Aabb, Dataset, Point3};
 
     fn sample(n: usize, seed: u64) -> Dataset {
         let mut state = seed;

@@ -22,7 +22,11 @@
 //! The crate also defines the vocabulary shared by every engine and baseline:
 //!
 //! * the [`SpatialJoinAlgorithm`] trait — the engine-side contract, driven
-//!   object-safely as `&dyn SpatialJoinAlgorithm` with a `&mut dyn PairSink`,
+//!   object-safely as `&dyn SpatialJoinAlgorithm` with a `&mut dyn PairSink`:
+//!   a name, an optional [`JoinPlan`], and one fallible
+//!   [`try_join_into`](SpatialJoinAlgorithm::try_join_into) over a
+//!   [`JoinInput`] (two-way or self-join); baselines implement it with
+//!   [`join_in_one_phase`],
 //! * the [`PairSink`] trait and its standard consumers — [`CountingSink`],
 //!   [`CollectingSink`], [`CallbackSink`] (zero-materialisation streaming) and
 //!   [`FirstKSink`] (early termination),
@@ -94,7 +98,9 @@ pub use sink::{
 };
 pub use stats::{DatasetStats, EXTENT_BUCKETS};
 pub use touch::{time_phase_traced, JoinOrder, LocalJoinStrategy, TouchConfig, TouchJoin};
-pub use traits::{collect_join, count_join, distance_join, SpatialJoinAlgorithm};
+pub use traits::{
+    collect_join, count_join, distance_join, join_in_one_phase, JoinInput, SpatialJoinAlgorithm,
+};
 pub use tree::{
     AdaptiveParams, LocalJoinKind, LocalJoinParams, TouchNode, TouchTree, ASSIGN_CANCEL_CHUNK,
 };

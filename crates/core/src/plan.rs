@@ -7,7 +7,7 @@
 //! This module turns those hand-set constants into **derived quantities**: a
 //! [`JoinPlanner`] reads [`DatasetStats`](crate::DatasetStats) (one cheap pass
 //! per dataset) plus a [`PlanEnv`] (thread availability, the sink's pair limit,
-//! the ε of the predicate, the expected number of probe epochs) and emits a
+//! the expected number of probe epochs) and emits a
 //! [`JoinPlan`] — the **complete, pinned parameterisation of one join**.
 //!
 //! Every TOUCH engine executes from a `JoinPlan`. Explicit configurations
@@ -52,8 +52,9 @@
 
 use crate::control::{ExecControl, JoinError};
 use crate::stats::DatasetStats;
-use crate::{LocalJoinParams, PairSink, SpatialJoinAlgorithm, TouchConfig, TouchJoin};
+use crate::{JoinInput, LocalJoinParams, PairSink, SpatialJoinAlgorithm, TouchConfig, TouchJoin};
 use serde::{Deserialize, Serialize};
+use std::time::{Duration, Instant};
 use touch_geom::Dataset;
 use touch_metrics::{PlanSummary, RunReport};
 
@@ -203,7 +204,7 @@ impl JoinPlan {
             min_cell_size: self.params.min_cell_size,
             allpairs_max_a: self.params.allpairs_max_a,
             threads: self.threads(),
-            stats_time: std::time::Duration::ZERO,
+            stats_time: Duration::ZERO,
         }
     }
 
@@ -240,10 +241,6 @@ pub struct PlanEnv {
     /// The sink's pair budget ([`PairSink::pair_limit`]), if any: small budgets
     /// favour early-terminating sequential plans.
     pub pair_limit: Option<u64>,
-    /// The ε of the distance predicate (0 for a plain intersection join). The
-    /// planner usually sees the ε-extended dataset A already, so this is
-    /// informational.
-    pub epsilon: f64,
     /// Expected number of probe epochs: 1 for a one-shot query; > 1 selects the
     /// streaming engine (build the tree once, amortise it over the epochs).
     pub epochs: usize,
@@ -255,14 +252,13 @@ impl PlanEnv {
         PlanEnv {
             threads: std::thread::available_parallelism().map(usize::from).unwrap_or(1),
             pair_limit: None,
-            epsilon: 0.0,
             epochs: 1,
         }
     }
 
     /// A one-shot environment restricted to sequential execution.
     pub fn sequential() -> Self {
-        PlanEnv { threads: 1, pair_limit: None, epsilon: 0.0, epochs: 1 }
+        PlanEnv { threads: 1, pair_limit: None, epochs: 1 }
     }
 
     /// This environment with an explicit thread count.
@@ -358,6 +354,27 @@ impl JoinPlanner {
     /// for a distance self-join, the ε-extended view.
     pub fn plan_self(&self, a: &DatasetStats, env: &PlanEnv) -> JoinPlan {
         self.plan_with_tree_side(a, a, env, true, a.count(), a.count() as u64)
+    }
+
+    /// Collects the statistics `input` is costed on and plans it: both datasets
+    /// of a two-way join ([`JoinPlanner::plan`]), the probe-side view of a
+    /// self-join ([`JoinPlanner::plan_self`]). Returns the plan together with
+    /// the time the statistics pass took — the auto engines record it as
+    /// [`PlanSummary::stats_time`].
+    pub fn plan_input(&self, input: JoinInput<'_>, env: &PlanEnv) -> (JoinPlan, Duration) {
+        let stats_start = Instant::now();
+        match input {
+            JoinInput::Pair { a, b } => {
+                let (sa, sb) = (DatasetStats::from_dataset(a), DatasetStats::from_dataset(b));
+                let stats_time = stats_start.elapsed();
+                (self.plan(&sa, &sb, env), stats_time)
+            }
+            JoinInput::SelfJoin { a, .. } => {
+                let sa = DatasetStats::from_dataset(a);
+                let stats_time = stats_start.elapsed();
+                (self.plan_self(&sa, env), stats_time)
+            }
+        }
     }
 
     /// Plans a streaming join whose hierarchy is pinned to the tree dataset
@@ -494,49 +511,13 @@ impl SpatialJoinAlgorithm for AutoJoin {
         "TOUCH-AUTO".to_string()
     }
 
-    fn plan_for(&self, a: &Dataset, b: &Dataset) -> Option<JoinPlan> {
-        let (stats_a, stats_b) = (DatasetStats::from_dataset(a), DatasetStats::from_dataset(b));
-        Some(self.planner.plan(&stats_a, &stats_b, &PlanEnv::sequential()))
-    }
-
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        let stats_start = std::time::Instant::now();
-        let (stats_a, stats_b) = (DatasetStats::from_dataset(a), DatasetStats::from_dataset(b));
-        let stats_time = stats_start.elapsed();
-        let env = PlanEnv::sequential().with_pair_limit(sink.pair_limit()).with_threads(1);
-        let plan = self.planner.plan(&stats_a, &stats_b, &env);
-        TouchJoin::from_plan(plan).join_into(a, b, sink, report);
-        if let Some(summary) = &mut report.plan {
-            summary.stats_time = stats_time;
-        }
-    }
-
-    fn plan_self_for(&self, a: &Dataset) -> Option<JoinPlan> {
-        Some(self.planner.plan_self(&DatasetStats::from_dataset(a), &PlanEnv::sequential()))
-    }
-
-    fn join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-    ) {
-        let stats_start = std::time::Instant::now();
-        let stats = DatasetStats::from_dataset(a);
-        let stats_time = stats_start.elapsed();
-        let env = PlanEnv::sequential().with_pair_limit(sink.pair_limit()).with_threads(1);
-        let plan = self.planner.plan_self(&stats, &env);
-        TouchJoin::from_plan(plan).join_self_into(a, base, sink, report);
-        if let Some(summary) = &mut report.plan {
-            summary.stats_time = stats_time;
-        }
+    fn plan_for(&self, input: JoinInput<'_>) -> Option<JoinPlan> {
+        Some(self.planner.plan_input(input, &PlanEnv::sequential()).0)
     }
 
     fn try_join_into(
         &self,
-        a: &Dataset,
-        b: &Dataset,
+        input: JoinInput<'_>,
         sink: &mut dyn PairSink,
         report: &mut RunReport,
         ctl: ExecControl<'_>,
@@ -546,36 +527,9 @@ impl SpatialJoinAlgorithm for AutoJoin {
             report.completion = cause.completion();
             return Ok(());
         }
-        let stats_start = std::time::Instant::now();
-        let (stats_a, stats_b) = (DatasetStats::from_dataset(a), DatasetStats::from_dataset(b));
-        let stats_time = stats_start.elapsed();
-        let env = PlanEnv::sequential().with_pair_limit(sink.pair_limit()).with_threads(1);
-        let plan = self.planner.plan(&stats_a, &stats_b, &env);
-        TouchJoin::from_plan(plan).try_join_into(a, b, sink, report, ctl)?;
-        if let Some(summary) = &mut report.plan {
-            summary.stats_time = stats_time;
-        }
-        Ok(())
-    }
-
-    fn try_join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        if let Some(cause) = ctl.cancel.triggered() {
-            report.completion = cause.completion();
-            return Ok(());
-        }
-        let stats_start = std::time::Instant::now();
-        let stats = DatasetStats::from_dataset(a);
-        let stats_time = stats_start.elapsed();
-        let env = PlanEnv::sequential().with_pair_limit(sink.pair_limit()).with_threads(1);
-        let plan = self.planner.plan_self(&stats, &env);
-        TouchJoin::from_plan(plan).try_join_self_into(a, base, sink, report, ctl)?;
+        let env = PlanEnv::sequential().with_pair_limit(sink.pair_limit());
+        let (plan, stats_time) = self.planner.plan_input(input, &env);
+        TouchJoin::from_plan(plan).try_join_into(input, sink, report, ctl)?;
         if let Some(summary) = &mut report.plan {
             summary.stats_time = stats_time;
         }

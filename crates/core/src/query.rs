@@ -33,7 +33,7 @@
 
 use crate::control::{CancelToken, ExecControl, JoinError};
 use crate::plan::{AutoJoin, JoinPlan};
-use crate::{PairSink, SpatialJoinAlgorithm, TouchConfig, TouchJoin};
+use crate::{JoinInput, PairSink, SpatialJoinAlgorithm, TouchConfig, TouchJoin};
 use touch_geom::{Dataset, ValidationPolicy};
 use touch_metrics::{NoTrace, RunReport, TraceSink};
 
@@ -114,8 +114,8 @@ pub struct JoinQuery<'a> {
     /// Reused buffers for [`ValidationPolicy::SkipInvalid`]: the compacted
     /// (A, B) datasets, allocated on first use like the ε `scratch`.
     valid_scratch: Option<(Dataset, Dataset)>,
-    /// `true` for a [`JoinQuery::self_join`]: dispatch through the engine's
-    /// self-join entry points (identity pairs skipped, each unordered pair once).
+    /// `true` for a [`JoinQuery::self_join`]: the engine runs a
+    /// [`JoinInput::SelfJoin`] (identity pairs skipped, each unordered pair once).
     self_mode: bool,
 }
 
@@ -259,11 +259,7 @@ impl<'a> JoinQuery<'a> {
         } else {
             self.a
         };
-        if self.self_mode {
-            self.engine.plan_self_for(a_run)
-        } else {
-            self.engine.plan_for(a_run, self.b)
-        }
+        self.engine.plan_for(join_input(self.self_mode, a_run, self.b))
     }
 
     /// The name of the configured engine (the label runs will carry).
@@ -369,16 +365,23 @@ impl<'a> JoinQuery<'a> {
             cancel: self.cancel.unwrap_or_else(|| CancelToken::never()),
             trace: self.trace.unwrap_or(&NO_TRACE),
         };
-        if self.self_mode {
-            self.engine.try_join_self_into(a_run, b_run, sink, &mut report, ctl)?;
-        } else {
-            self.engine.try_join_into(a_run, b_run, sink, &mut report, ctl)?;
-        }
+        let input = join_input(self.self_mode, a_run, b_run);
+        self.engine.try_join_into(input, sink, &mut report, ctl)?;
         if let Some(trace) = self.trace {
             report.trace = trace.summary();
         }
         sink.finish();
         Ok(report)
+    }
+}
+
+/// The engine input of a query over the prepared datasets: in self-join mode
+/// `a` is the (possibly ε-extended) view and `b` the original dataset.
+fn join_input<'d>(self_mode: bool, a: &'d Dataset, b: &'d Dataset) -> JoinInput<'d> {
+    if self_mode {
+        JoinInput::SelfJoin { a, base: b }
+    } else {
+        JoinInput::Pair { a, b }
     }
 }
 

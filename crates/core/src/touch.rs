@@ -4,10 +4,10 @@
 use crate::control::{catch_phase, ExecControl, JoinError};
 use crate::plan::JoinPlan;
 use crate::tree::LocalJoinKind;
-use crate::{deliver, LocalJoinScratch, PairSink, SpatialJoinAlgorithm, TouchTree};
+use crate::{deliver, JoinInput, LocalJoinScratch, PairSink, SpatialJoinAlgorithm, TouchTree};
 use serde::{Deserialize, Serialize};
 use touch_geom::Dataset;
-use touch_metrics::{MemoryUsage, NoTrace, Phase, RunReport, TraceEvent, TraceSink};
+use touch_metrics::{MemoryUsage, Phase, RunReport, TraceEvent, TraceSink};
 
 /// Local-join strategy of the join phase (Section 5.2.2 and the ablation study).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -221,19 +221,6 @@ impl TouchJoin {
     }
 }
 
-/// Executes a resolved [`JoinPlan`] sequentially: the single code path behind
-/// [`TouchJoin::join_into`], shared by explicit configurations and the planning
-/// layer so the two can never diverge.
-pub(crate) fn execute_sequential(
-    plan: &JoinPlan,
-    a: &Dataset,
-    b: &Dataset,
-    sink: &mut dyn PairSink,
-    report: &mut RunReport,
-) {
-    execute_sequential_traced(plan, a, b, sink, report, &NoTrace);
-}
-
 /// Times `f` into `report`'s `phase` and, when `trace` is enabled, also records
 /// the phase as a [`TraceEvent::Phase`] span. Shared by the sequential and (via
 /// re-export) the parallel/streaming coordinators so phase spans line up with
@@ -257,29 +244,9 @@ pub fn time_phase_traced<T>(
     out
 }
 
-/// Traced form of [`execute_sequential`]: the identical join (the untraced
-/// entry point is this with a [`NoTrace`] sink) plus phase spans and per-node
-/// [`TraceEvent::NodeJoin`] spans attributed to worker 0.
-///
-/// # Panics
-/// Re-raises a contained phase panic with the attributed
-/// [`JoinError::WorkerPanicked`] rendering (the original panic message is
-/// embedded). Use [`execute_sequential_ctl`] to handle it as an error.
-pub(crate) fn execute_sequential_traced(
-    plan: &JoinPlan,
-    a: &Dataset,
-    b: &Dataset,
-    sink: &mut dyn PairSink,
-    report: &mut RunReport,
-    trace: &dyn TraceSink,
-) {
-    execute_sequential_ctl(plan, a, b, sink, report, ExecControl::with_trace(trace))
-        .unwrap_or_else(|e| panic!("{e}"));
-}
-
-/// The one sequential execution path: [`execute_sequential_traced`] is this
-/// with a never-triggering token, [`execute_sequential`] additionally with a
-/// disabled trace sink.
+/// Executes a resolved [`JoinPlan`] sequentially: the single code path behind
+/// [`TouchJoin`], shared by explicit configurations and the planning layer so
+/// the two can never diverge.
 ///
 /// Cooperation contract:
 ///
@@ -293,7 +260,7 @@ pub(crate) fn execute_sequential_traced(
 /// * with an untriggered token the run is bit-identical — pairs *and* counters
 ///   — to the pre-fault-tolerance code path (locked by the equivalence suites
 ///   and the perfsmoke counter gate).
-pub(crate) fn execute_sequential_ctl(
+fn execute_sequential_ctl(
     plan: &JoinPlan,
     a: &Dataset,
     b: &Dataset,
@@ -324,7 +291,7 @@ pub(crate) fn execute_sequential_ctl(
 /// them, so early termination budgets are spent on post-filter pairs only
 /// while the comparison/node-test counters stay identical to the raw
 /// `a ⋈ base` run.
-pub(crate) fn execute_sequential_self_ctl(
+fn execute_sequential_self_ctl(
     plan: &JoinPlan,
     a: &Dataset,
     base: &Dataset,
@@ -427,112 +394,38 @@ fn execute_phases_ctl(
     }
 }
 
-/// Untraced form of [`execute_sequential_self_traced`].
-pub(crate) fn execute_sequential_self(
-    plan: &JoinPlan,
-    a: &Dataset,
-    base: &Dataset,
-    sink: &mut dyn PairSink,
-    report: &mut RunReport,
-) {
-    execute_sequential_self_traced(plan, a, base, sink, report, &NoTrace);
-}
-
-/// Executes a resolved [`JoinPlan`] sequentially as a **self-join**: the same
-/// three phases as [`execute_sequential_traced`] over `a ⋈ base` (the possibly
-/// ε-extended view and the original dataset, with aligned ids), with the
-/// index-order filter applied inside the emit closure — identity pairs and
-/// mirrored duplicates are dropped *before* the sink sees them, so early
-/// termination budgets are spent on post-filter pairs only while the
-/// comparison/node-test counters stay identical to the raw `a ⋈ base` run.
-pub(crate) fn execute_sequential_self_traced(
-    plan: &JoinPlan,
-    a: &Dataset,
-    base: &Dataset,
-    sink: &mut dyn PairSink,
-    report: &mut RunReport,
-    trace: &dyn TraceSink,
-) {
-    execute_sequential_self_ctl(plan, a, base, sink, report, ExecControl::with_trace(trace))
-        .unwrap_or_else(|e| panic!("{e}"));
-}
-
 impl SpatialJoinAlgorithm for TouchJoin {
     fn name(&self) -> String {
         "TOUCH".to_string()
     }
 
-    fn plan_for(&self, a: &Dataset, b: &Dataset) -> Option<JoinPlan> {
+    fn plan_for(&self, input: JoinInput<'_>) -> Option<JoinPlan> {
+        let (a, b) = input.datasets();
         Some(self.resolve_plan(a, b))
-    }
-
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        execute_sequential(&self.resolve_plan(a, b), a, b, sink, report);
-    }
-
-    fn join_traced(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        execute_sequential_traced(&self.resolve_plan(a, b), a, b, sink, report, trace);
-    }
-
-    fn plan_self_for(&self, a: &Dataset) -> Option<JoinPlan> {
-        Some(self.resolve_plan(a, a))
-    }
-
-    fn join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-    ) {
-        execute_sequential_self(&self.resolve_plan(a, base), a, base, sink, report);
-    }
-
-    fn join_self_traced(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        execute_sequential_self_traced(&self.resolve_plan(a, base), a, base, sink, report, trace);
     }
 
     fn try_join_into(
         &self,
-        a: &Dataset,
-        b: &Dataset,
+        input: JoinInput<'_>,
         sink: &mut dyn PairSink,
         report: &mut RunReport,
         ctl: ExecControl<'_>,
     ) -> Result<(), JoinError> {
-        execute_sequential_ctl(&self.resolve_plan(a, b), a, b, sink, report, ctl)
-    }
-
-    fn try_join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        execute_sequential_self_ctl(&self.resolve_plan(a, base), a, base, sink, report, ctl)
+        let (a, b) = input.datasets();
+        let plan = self.resolve_plan(a, b);
+        match input {
+            JoinInput::Pair { .. } => execute_sequential_ctl(&plan, a, b, sink, report, ctl),
+            JoinInput::SelfJoin { .. } => {
+                execute_sequential_self_ctl(&plan, a, b, sink, report, ctl)
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collect_join;
+    use crate::{collect_join, JoinQuery};
     use touch_geom::{Aabb, Point3};
 
     fn lattice(side: usize, spacing: f64, box_side: f64, offset: f64) -> Dataset {
@@ -642,7 +535,7 @@ mod tests {
             brute_pairs(&a, &a).into_iter().filter(|&(x, y)| x < y).collect();
         assert!(!expected.is_empty());
         let mut sink = crate::CollectingSink::new();
-        let report = TouchJoin::default().join_self(&a, &mut sink);
+        let report = JoinQuery::self_join(&a).engine(TouchJoin::default()).run(&mut sink);
         assert_eq!(sink.sorted_pairs(), expected);
         assert_eq!(report.result_pairs(), expected.len() as u64);
     }
@@ -663,7 +556,7 @@ mod tests {
         let a = lattice(6, 1.5, 1.0, 0.0);
         let b = lattice(6, 1.5, 1.0, 0.2);
         let mut sink = crate::CountingSink::new();
-        let report = TouchJoin::default().join(&a, &b, &mut sink);
+        let report = JoinQuery::new(&a, &b).engine(TouchJoin::default()).run(&mut sink);
         assert!(report.total_time() > std::time::Duration::ZERO);
         assert_eq!(report.dataset_a, a.len());
         assert_eq!(report.dataset_b, b.len());

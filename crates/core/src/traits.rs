@@ -1,19 +1,66 @@
 //! The spatial-join algorithm interface and the legacy convenience wrappers.
 //!
-//! [`SpatialJoinAlgorithm`] is the engine-side contract: report every intersecting
-//! pair into a [`PairSink`] and fill in a [`RunReport`]. The user-side entrypoint
-//! is the [`crate::JoinQuery`] builder, which owns predicate translation (ε
-//! extension), report labelling and sink lifecycle; the free functions here
-//! ([`distance_join`], [`collect_join`], [`count_join`]) are thin wrappers over it
-//! kept for existing call sites — see `MIGRATION.md` at the workspace root.
+//! [`SpatialJoinAlgorithm`] is the engine-side contract: three methods — a name,
+//! an optional [`JoinPlan`], and one fallible, cancellable
+//! [`try_join_into`](SpatialJoinAlgorithm::try_join_into) that serves two-way and
+//! self-joins alike through [`JoinInput`]. Everything infallible, untraced or
+//! report-creating lives on the user-side entrypoint, the [`crate::JoinQuery`]
+//! builder, which owns predicate translation (ε extension), report labelling and
+//! sink lifecycle. Engines without internal cancel points (the baselines) run
+//! their whole join through [`join_in_one_phase`]. The free functions here
+//! ([`distance_join`], [`collect_join`], [`count_join`]) are thin wrappers over
+//! `JoinQuery` kept for existing call sites — see `MIGRATION.md` at the workspace
+//! root.
 
 use crate::control::{catch_phase, ExecControl, JoinError};
 use crate::plan::JoinPlan;
 use crate::{CollectingSink, CountingSink, JoinQuery, PairSink, Predicate, SelfPairSink};
 use touch_geom::{Dataset, ObjectId};
-use touch_metrics::{Phase, RunReport, TraceSink};
+use touch_metrics::{Phase, RunReport};
 
-/// A two-way spatial intersection join over MBR datasets.
+/// The datasets one run of a [`SpatialJoinAlgorithm`] joins.
+#[derive(Debug, Clone, Copy)]
+pub enum JoinInput<'a> {
+    /// A two-way join: every intersecting pair `(id_in_a, id_in_b)`.
+    Pair {
+        /// Dataset A (possibly ε-extended by the query layer).
+        a: &'a Dataset,
+        /// Dataset B.
+        b: &'a Dataset,
+    },
+    /// A self-join: every **unordered** pair `(x, y)` with `x < y` whose members
+    /// intersect — identity pairs are skipped, and of each mirrored duplicate
+    /// only the index-ordered orientation survives.
+    ///
+    /// Two views exist so the query layer can apply the ε extension to one side:
+    /// extending one side suffices for a distance self-join because per-axis
+    /// AABB extension is symmetric (`ext(x) ∩ y ⟺ ext(y) ∩ x`). For a plain
+    /// intersection self-join pass the same dataset twice.
+    SelfJoin {
+        /// The (possibly ε-extended) probe-side view of the dataset.
+        a: &'a Dataset,
+        /// The original dataset, with ids identical to and aligned with `a`'s.
+        base: &'a Dataset,
+    },
+}
+
+impl<'a> JoinInput<'a> {
+    /// The two datasets the engine joins: `(a, b)` for a two-way join,
+    /// `(a, base)` for a self-join.
+    pub fn datasets(self) -> (&'a Dataset, &'a Dataset) {
+        match self {
+            JoinInput::Pair { a, b } => (a, b),
+            JoinInput::SelfJoin { a, base } => (a, base),
+        }
+    }
+
+    /// Whether this is a [`JoinInput::SelfJoin`].
+    pub fn is_self_join(self) -> bool {
+        matches!(self, JoinInput::SelfJoin { .. })
+    }
+}
+
+/// A spatial intersection join over MBR datasets.
 ///
 /// Implemented by [`crate::TouchJoin`], the parallel and streaming engines, and by
 /// every baseline in `touch-baselines` (nested loop, plane-sweep, PBSM, S3, indexed
@@ -27,180 +74,59 @@ use touch_metrics::{Phase, RunReport, TraceSink};
 ///
 /// The trait is object-safe: engines are driven as `&dyn SpatialJoinAlgorithm`
 /// with a `&mut dyn PairSink`, which is how [`crate::JoinQuery`] dispatches over
-/// heterogeneous engines.
+/// heterogeneous engines. Run an engine through `JoinQuery` —
+/// [`JoinQuery::run`](crate::JoinQuery::run) for the infallible form,
+/// [`JoinQuery::trace`](crate::JoinQuery::trace) for spans and
+/// [`JoinQuery::self_join`](crate::JoinQuery::self_join) for self-joins.
 pub trait SpatialJoinAlgorithm {
     /// Human-readable name used in reports and figures (e.g. `"TOUCH"`, `"PBSM-500"`).
     fn name(&self) -> String;
 
-    /// The [`JoinPlan`] this engine would execute for `a` and `b`, if it is a
+    /// The [`JoinPlan`] this engine would execute for `input`, if it is a
     /// planned engine: the TOUCH engines return the faithful translation of
     /// their configuration (or the pinned plan they were built from), the auto
-    /// engines return the planner's output. Baselines — which have no TOUCH
-    /// plan — return `None` (the default).
-    fn plan_for(&self, a: &Dataset, b: &Dataset) -> Option<JoinPlan> {
-        let _ = (a, b);
+    /// engines return the planner's output — for a self-join costed on the one
+    /// dataset's statistics with the pair estimate halved. Baselines — which
+    /// have no TOUCH plan — return `None` (the default).
+    fn plan_for(&self, input: JoinInput<'_>) -> Option<JoinPlan> {
+        let _ = input;
         None
     }
 
-    /// Joins datasets `a` and `b`, pushing every intersecting pair `(id_a, id_b)`
-    /// into `sink` exactly once, and records phase times, counters and memory into
-    /// `report`.
+    /// Joins `input`, pushing every result pair into `sink` exactly once, and
+    /// records phase times, counters and memory into `report`.
     ///
     /// The caller creates `report` (via [`RunReport::new`]) and owns its identity
     /// fields — label, dataset sizes and `epsilon`, which the query layer sets
     /// **before** the join runs so partial records emitted mid-run already carry
     /// it. The engine must only *add* its measurements, never reset the report.
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport);
-
-    /// Traced form of [`SpatialJoinAlgorithm::join_into`]: identical join, but
-    /// the engine additionally reports execution spans (per-node local joins,
-    /// assignment chunks, steals, epochs) to `trace`.
-    ///
-    /// The contract is strict: **tracing must not influence the join** — pairs
-    /// and counters are bit-identical whether `trace` is a recording sink, a
-    /// disabled sink or this default. The default ignores `trace` entirely
-    /// (correct for baselines, which have no instrumented spans); the TOUCH
-    /// engines override it.
-    fn join_traced(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        let _ = trace;
-        self.join_into(a, b, sink, report);
-    }
-
-    /// Fallible, cancellable form of [`SpatialJoinAlgorithm::join_into`] — the
-    /// engine-side half of [`JoinQuery::try_run`](crate::JoinQuery::try_run).
+    /// For a [`JoinInput::SelfJoin`] the results counter counts the pairs
+    /// delivered after the index-order filter.
     ///
     /// Contract:
     ///
     /// * `ctl.cancel` is polled cooperatively (between phases and at chunk /
-    ///   node granularity in the engines that override this); a tripped token
-    ///   stops the run in an orderly way and returns `Ok(())` with the
-    ///   **partial** report's [`completion`](RunReport::completion) stamped
+    ///   node granularity in the TOUCH engines); a tripped token stops the run
+    ///   in an orderly way and returns `Ok(())` with the **partial** report's
+    ///   [`completion`](RunReport::completion) stamped
     ///   [`Cancelled`](touch_metrics::Completion::Cancelled) or
     ///   [`DeadlineExceeded`](touch_metrics::Completion::DeadlineExceeded) —
     ///   cancellation of a report-producing run is not an error,
     /// * a panic inside the engine is contained and surfaces as
     ///   `Err(`[`JoinError::WorkerPanicked`]`)` with the phase and worker
     ///   attributed,
-    /// * with a never-triggering token and no panic the run is **bit-identical**
-    ///   (pairs and counters) to [`SpatialJoinAlgorithm::join_traced`].
-    ///
-    /// The default covers engines without internal cancel points: it checks the
-    /// token once up front, then runs the whole traced join inside one
-    /// [`catch_phase`] attributed to [`Phase::Join`] / worker 0. Engines with
-    /// chunked inner loops (the TOUCH engines) override it to honour the token
-    /// mid-run.
+    /// * `ctl.trace` receives execution spans (per-node local joins, assignment
+    ///   chunks, steals, epochs) from engines that have them, and **must not
+    ///   influence the join**: pairs and counters are bit-identical whether it
+    ///   is a recording sink or a disabled one, and with a never-triggering
+    ///   token and no panic every run is bit-identical to every other.
     fn try_join_into(
         &self,
-        a: &Dataset,
-        b: &Dataset,
+        input: JoinInput<'_>,
         sink: &mut dyn PairSink,
         report: &mut RunReport,
         ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        if let Some(cause) = ctl.cancel.triggered() {
-            report.completion = cause.completion();
-            return Ok(());
-        }
-        catch_phase(Phase::Join, 0, || self.join_traced(a, b, sink, report, ctl.trace))
-    }
-
-    /// Convenience form of [`SpatialJoinAlgorithm::join_into`]: creates the report,
-    /// runs the join and returns the completed record.
-    fn join(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink) -> RunReport {
-        let mut report = RunReport::new(self.name(), a.len(), b.len());
-        self.join_into(a, b, sink, &mut report);
-        report
-    }
-
-    /// The [`JoinPlan`] this engine would execute for a **self-join** of `a`, if
-    /// it is a planned engine. The default plans the self-join as `a ⋈ a`;
-    /// planner-backed engines override it to cost one dataset's statistics once
-    /// and halve the pair estimate.
-    fn plan_self_for(&self, a: &Dataset) -> Option<JoinPlan> {
-        self.plan_for(a, a)
-    }
-
-    /// Self-join of one dataset: pushes every **unordered** pair `(x, y)` with
-    /// `x < y` whose members intersect into `sink` exactly once — identity pairs
-    /// are skipped, and of each mirrored duplicate only the index-ordered
-    /// orientation survives.
-    ///
-    /// The two dataset arguments exist so the query layer can apply the ε
-    /// extension to one side: `a` is the (possibly extended) probe-side view and
-    /// `base` the original dataset, with identical, aligned object ids. For a
-    /// plain intersection self-join pass the same dataset twice. Extension of
-    /// one side is sufficient for a distance self-join because per-axis AABB
-    /// extension is symmetric: `ext(x) ∩ y ⟺ ext(y) ∩ x`.
-    ///
-    /// The default wraps `sink` in a [`SelfPairSink`] and runs the ordinary
-    /// [`SpatialJoinAlgorithm::join_into`] of `a ⋈ base` — correct for every
-    /// engine, at the cost of enumerating both orientations. The TOUCH engines
-    /// override it with an in-kernel index-order filter so the comparison work
-    /// and shared pair budgets are spent on post-filter pairs only.
-    fn join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-    ) {
-        let mut filter = SelfPairSink::new(sink);
-        self.join_into(a, base, &mut filter, report);
-        report.counters.results = filter.delivered();
-    }
-
-    /// Traced form of [`SpatialJoinAlgorithm::join_self_into`]; the same
-    /// tracing contract as [`SpatialJoinAlgorithm::join_traced`] applies.
-    fn join_self_traced(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        let mut filter = SelfPairSink::new(sink);
-        self.join_traced(a, base, &mut filter, report, trace);
-        report.counters.results = filter.delivered();
-    }
-
-    /// Fallible, cancellable form of [`SpatialJoinAlgorithm::join_self_into`];
-    /// the same contract as [`SpatialJoinAlgorithm::try_join_into`] applies.
-    ///
-    /// The default wraps `sink` in a [`SelfPairSink`] around the fallible
-    /// two-way join, and re-derives the post-filter results counter on **every**
-    /// orderly exit (complete, cancelled or deadline-exceeded) so partial
-    /// reports stay consistent with what the sink observed.
-    fn try_join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        let mut filter = SelfPairSink::new(sink);
-        let res = self.try_join_into(a, base, &mut filter, report, ctl);
-        if res.is_ok() {
-            report.counters.results = filter.delivered();
-        }
-        res
-    }
-
-    /// Convenience form of [`SpatialJoinAlgorithm::join_self_into`]: creates the
-    /// report, runs the self-join of `a` and returns the completed record.
-    fn join_self(&self, a: &Dataset, sink: &mut dyn PairSink) -> RunReport {
-        let mut report = RunReport::new(self.name(), a.len(), a.len());
-        self.join_self_into(a, a, sink, &mut report);
-        report
-    }
+    ) -> Result<(), JoinError>;
 }
 
 impl<T: SpatialJoinAlgorithm + ?Sized> SpatialJoinAlgorithm for &T {
@@ -208,70 +134,18 @@ impl<T: SpatialJoinAlgorithm + ?Sized> SpatialJoinAlgorithm for &T {
         (**self).name()
     }
 
-    fn plan_for(&self, a: &Dataset, b: &Dataset) -> Option<JoinPlan> {
-        (**self).plan_for(a, b)
-    }
-
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        (**self).join_into(a, b, sink, report)
-    }
-
-    fn join_traced(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        (**self).join_traced(a, b, sink, report, trace)
-    }
-
-    fn plan_self_for(&self, a: &Dataset) -> Option<JoinPlan> {
-        (**self).plan_self_for(a)
-    }
-
-    fn join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-    ) {
-        (**self).join_self_into(a, base, sink, report)
-    }
-
-    fn join_self_traced(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        (**self).join_self_traced(a, base, sink, report, trace)
+    fn plan_for(&self, input: JoinInput<'_>) -> Option<JoinPlan> {
+        (**self).plan_for(input)
     }
 
     fn try_join_into(
         &self,
-        a: &Dataset,
-        b: &Dataset,
+        input: JoinInput<'_>,
         sink: &mut dyn PairSink,
         report: &mut RunReport,
         ctl: ExecControl<'_>,
     ) -> Result<(), JoinError> {
-        (**self).try_join_into(a, b, sink, report, ctl)
-    }
-
-    fn try_join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        (**self).try_join_self_into(a, base, sink, report, ctl)
+        (**self).try_join_into(input, sink, report, ctl)
     }
 }
 
@@ -280,70 +154,58 @@ impl<T: SpatialJoinAlgorithm + ?Sized> SpatialJoinAlgorithm for Box<T> {
         (**self).name()
     }
 
-    fn plan_for(&self, a: &Dataset, b: &Dataset) -> Option<JoinPlan> {
-        (**self).plan_for(a, b)
-    }
-
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        (**self).join_into(a, b, sink, report)
-    }
-
-    fn join_traced(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        (**self).join_traced(a, b, sink, report, trace)
-    }
-
-    fn plan_self_for(&self, a: &Dataset) -> Option<JoinPlan> {
-        (**self).plan_self_for(a)
-    }
-
-    fn join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-    ) {
-        (**self).join_self_into(a, base, sink, report)
-    }
-
-    fn join_self_traced(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        (**self).join_self_traced(a, base, sink, report, trace)
+    fn plan_for(&self, input: JoinInput<'_>) -> Option<JoinPlan> {
+        (**self).plan_for(input)
     }
 
     fn try_join_into(
         &self,
-        a: &Dataset,
-        b: &Dataset,
+        input: JoinInput<'_>,
         sink: &mut dyn PairSink,
         report: &mut RunReport,
         ctl: ExecControl<'_>,
     ) -> Result<(), JoinError> {
-        (**self).try_join_into(a, b, sink, report, ctl)
+        (**self).try_join_into(input, sink, report, ctl)
     }
+}
 
-    fn try_join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        (**self).try_join_self_into(a, base, sink, report, ctl)
+/// Runs a two-way join body with no internal cancel points as one
+/// [`SpatialJoinAlgorithm::try_join_into`] — the shared implementation of the
+/// baselines.
+///
+/// `join` receives the two datasets of `input` and must push every
+/// intersecting pair `(id_in_first, id_in_second)` into the sink it is handed.
+/// Around it this helper:
+///
+/// * checks the cancel token once up front (a tripped token stamps the report
+///   and returns `Ok` without running `join`),
+/// * contains a panic anywhere in `join` as [`JoinError::WorkerPanicked`]
+///   attributed to [`Phase::Join`] / worker 0,
+/// * for a [`JoinInput::SelfJoin`], filters the pairs through a
+///   [`SelfPairSink`] and re-derives the results counter from what it
+///   delivered — correct for every engine, at the cost of enumerating both
+///   orientations (the TOUCH engines filter in-kernel instead).
+///
+/// The trace sink is not consulted: such a body has no instrumented spans.
+pub fn join_in_one_phase(
+    input: JoinInput<'_>,
+    sink: &mut dyn PairSink,
+    report: &mut RunReport,
+    ctl: ExecControl<'_>,
+    join: impl FnOnce(&Dataset, &Dataset, &mut dyn PairSink, &mut RunReport),
+) -> Result<(), JoinError> {
+    if let Some(cause) = ctl.cancel.triggered() {
+        report.completion = cause.completion();
+        return Ok(());
+    }
+    match input {
+        JoinInput::Pair { a, b } => catch_phase(Phase::Join, 0, || join(a, b, sink, report)),
+        JoinInput::SelfJoin { a, base } => {
+            let mut filter = SelfPairSink::new(sink);
+            catch_phase(Phase::Join, 0, || join(a, base, &mut filter, report))?;
+            report.counters.results = filter.delivered();
+            Ok(())
+        }
     }
 }
 
@@ -395,25 +257,27 @@ mod tests {
             "BruteForce".into()
         }
 
-        fn join_into(
+        fn try_join_into(
             &self,
-            a: &Dataset,
-            b: &Dataset,
+            input: JoinInput<'_>,
             sink: &mut dyn PairSink,
             report: &mut RunReport,
-        ) {
-            'scan: for oa in a.iter() {
-                for ob in b.iter() {
-                    report.counters.record_comparison();
-                    if oa.mbr.intersects(&ob.mbr) {
-                        if sink.is_done() {
-                            break 'scan;
+            ctl: ExecControl<'_>,
+        ) -> Result<(), JoinError> {
+            join_in_one_phase(input, sink, report, ctl, |a, b, sink, report| {
+                'scan: for oa in a.iter() {
+                    for ob in b.iter() {
+                        report.counters.record_comparison();
+                        if oa.mbr.intersects(&ob.mbr) {
+                            if sink.is_done() {
+                                break 'scan;
+                            }
+                            report.counters.record_result();
+                            sink.push(oa.id, ob.id);
                         }
-                        report.counters.record_result();
-                        sink.push(oa.id, ob.id);
                     }
                 }
-            }
+            })
         }
     }
 
@@ -458,7 +322,7 @@ mod tests {
         let a = boxes(&[0.0]);
         let b = boxes(&[0.5]);
         let mut sink = CollectingSink::new();
-        let report = BruteForce.join(&a, &b, &mut sink);
+        let report = JoinQuery::new(&a, &b).engine(BruteForce).run(&mut sink);
         assert_eq!(report.algorithm, "BruteForce");
         assert_eq!((report.dataset_a, report.dataset_b), (1, 1));
         assert_eq!(sink.pairs(), &[(0, 0)]);
@@ -470,7 +334,7 @@ mod tests {
         // ((0,0),(0,1),(1,0),(1,1),(2,2)); the self-join keeps exactly (0,1).
         let a = boxes(&[0.0, 0.5, 10.0]);
         let mut sink = CollectingSink::new();
-        let report = BruteForce.join_self(&a, &mut sink);
+        let report = JoinQuery::self_join(&a).engine(BruteForce).run(&mut sink);
         assert_eq!(sink.pairs(), &[(0, 1)]);
         assert_eq!(report.result_pairs(), 1, "results counter is post-filter");
         assert_eq!((report.dataset_a, report.dataset_b), (3, 3));

@@ -26,8 +26,9 @@ pub struct Counters {
     /// TOUCH local-join grid cells). Drives the memory overhead the paper attributes
     /// to PBSM.
     pub replicas: u64,
-    /// Candidate lanes fed through the batched MBR filter (`kernels::overlap_batch`).
-    /// Counts *logical* lanes, so the value is machine-independent: the same join
+    /// Candidate lanes fed through the batched MBR filter (`simd::overlap_window`
+    /// in the all-pairs and plane-sweep kernels, `simd::overlap_run` in the grid
+    /// probe, both in `touch-core`). Counts *logical* lanes, so the value is machine-independent: the same join
     /// reports the same number whether the batch ran on AVX2, SSE2, NEON or the
     /// scalar fallback.
     pub batch_lanes: u64,

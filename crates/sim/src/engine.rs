@@ -163,8 +163,7 @@ impl TickEngine {
         }
         let tree_side = if config.epsilon > 0.0 { &extended } else { &dataset };
         let plan_stats = DatasetStats::from_dataset(tree_side);
-        let mut env = PlanEnv::sequential().with_threads(resolve_threads(config.threads));
-        env.epsilon = config.epsilon;
+        let env = PlanEnv::sequential().with_threads(resolve_threads(config.threads));
         let planner = JoinPlanner::default();
         let plan = planner.plan_self(&plan_stats, &env);
         let entities = world.len();

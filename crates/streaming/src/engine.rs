@@ -4,8 +4,8 @@ use crate::EpochReport;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use touch_core::{
-    catch_phase, deliver, DatasetStats, ExecControl, JoinError, JoinPlan, JoinPlanner, PairSink,
-    PlanEnv, ScratchPool, SpatialJoinAlgorithm, TouchConfig, TouchTree,
+    catch_phase, deliver, DatasetStats, ExecControl, JoinError, JoinInput, JoinPlan, JoinPlanner,
+    PairSink, PlanEnv, ScratchPool, SpatialJoinAlgorithm, TouchConfig, TouchTree,
 };
 use touch_geom::{Dataset, SpatialObject};
 use touch_metrics::{Counters, MemoryUsage, NoTrace, Phase, RunReport, TraceEvent, TraceSink};
@@ -786,7 +786,8 @@ impl SpatialJoinAlgorithm for OneShotStreaming {
         format!("TOUCH-S{}", self.config.effective_threads())
     }
 
-    fn plan_for(&self, a: &Dataset, _b: &Dataset) -> Option<JoinPlan> {
+    fn plan_for(&self, input: JoinInput<'_>) -> Option<JoinPlan> {
+        let (a, _) = input.datasets();
         Some(self.plan.unwrap_or_else(|| {
             JoinPlan::from_streaming_tree(
                 &self.config.touch,
@@ -798,102 +799,33 @@ impl SpatialJoinAlgorithm for OneShotStreaming {
         }))
     }
 
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        self.join_traced(a, b, sink, report, &NoTrace);
-    }
-
-    fn join_traced(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        let mut engine = match self.plan {
-            Some(plan) => StreamingTouchJoin::build_with_plan(a, plan),
-            None => StreamingTouchJoin::build(a, self.config),
-        };
-        let _ = engine.push_batch_traced(b.objects(), sink, trace);
-        Self::merge_cumulative(&engine, report);
-    }
-
-    fn join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-    ) {
-        self.join_self_traced(a, base, sink, report, &NoTrace);
-    }
-
-    fn join_self_traced(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        let mut engine = match self.plan {
-            Some(plan) => StreamingTouchJoin::build_with_plan(a, plan),
-            None => StreamingTouchJoin::build(a, self.config),
-        };
-        let _ = engine.push_batch_self_traced(base.objects(), sink, trace);
-        Self::merge_cumulative(&engine, report);
-    }
-
+    /// Builds the tree over `a` under panic containment, pushes the whole probe
+    /// side as a single cancellable epoch, and lifts the epoch's completion onto
+    /// the run report.
     fn try_join_into(
         &self,
-        a: &Dataset,
-        b: &Dataset,
+        input: JoinInput<'_>,
         sink: &mut dyn PairSink,
         report: &mut RunReport,
         ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        self.try_one_shot(a, b, sink, report, ctl, false)
-    }
-
-    fn try_join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        self.try_one_shot(a, base, sink, report, ctl, true)
-    }
-}
-
-impl OneShotStreaming {
-    /// The fallible one-shot run: build under panic containment, push the
-    /// whole probe side as a single cancellable epoch, and lift the epoch's
-    /// completion onto the run report.
-    fn try_one_shot(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-        self_join: bool,
     ) -> Result<(), JoinError> {
         if let Some(cause) = ctl.cancel.triggered() {
             report.completion = cause.completion();
             return Ok(());
         }
+        let (a, b) = input.datasets();
         let mut engine = catch_phase(Phase::Build, 0, || match self.plan {
             Some(plan) => StreamingTouchJoin::build_with_plan(a, plan),
             None => StreamingTouchJoin::build(a, self.config),
         })?;
-        let epoch = engine.push_epoch_ctl(b.objects(), sink, ctl, self_join)?;
+        let epoch = engine.push_epoch_ctl(b.objects(), sink, ctl, input.is_self_join())?;
         report.completion = epoch.completion;
         Self::merge_cumulative(&engine, report);
         Ok(())
     }
+}
 
+impl OneShotStreaming {
     /// Folds a finished engine's cumulative record into a one-shot report.
     fn merge_cumulative(engine: &StreamingTouchJoin, report: &mut RunReport) {
         let cumulative = engine.cumulative_report();
@@ -909,7 +841,7 @@ impl OneShotStreaming {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use touch_core::{collect_join, CollectingSink, CountingSink, JoinOrder, TouchJoin};
+    use touch_core::{collect_join, CollectingSink, CountingSink, JoinOrder, JoinQuery, TouchJoin};
     use touch_geom::{Aabb, Point3};
 
     fn lattice(side: usize, spacing: f64, box_side: f64, offset: f64) -> Dataset {
@@ -1181,10 +1113,10 @@ mod tests {
             assert_eq!(sink.sorted_pairs(), brute, "threads = {threads}");
             assert_eq!(report.results(), brute.len() as u64);
 
-            // ...and the one-shot adapter through the trait's self-join entry.
+            // ...and the one-shot adapter through a self-join query.
             let adapter = OneShotStreaming::new(streaming_cfg(threads));
             let mut adapter_sink = CollectingSink::new();
-            let adapter_report = adapter.join_self(&a, &mut adapter_sink);
+            let adapter_report = JoinQuery::self_join(&a).engine(&adapter).run(&mut adapter_sink);
             assert_eq!(adapter_sink.sorted_pairs(), brute, "threads = {threads}");
             assert_eq!(adapter_report.result_pairs(), brute.len() as u64);
         }

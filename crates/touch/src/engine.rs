@@ -14,11 +14,10 @@ use touch_baselines::{
     S3Join, SeededTreeJoin,
 };
 use touch_core::{
-    DatasetStats, ExecControl, ExecutionStrategy, JoinError, JoinPlan, JoinPlanner, PairSink,
-    PlanEnv, SpatialJoinAlgorithm, TouchConfig, TouchJoin,
+    ExecControl, ExecutionStrategy, JoinError, JoinInput, JoinPlan, JoinPlanner, PairSink, PlanEnv,
+    SpatialJoinAlgorithm, TouchConfig, TouchJoin,
 };
-use touch_geom::Dataset;
-use touch_metrics::{RunReport, TraceSink};
+use touch_metrics::RunReport;
 use touch_parallel::{ParallelConfig, ParallelTouchJoin};
 use touch_streaming::{OneShotStreaming, StreamingConfig};
 
@@ -105,10 +104,11 @@ impl Baseline {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Engine {
-    /// **Automatic planning** (the default): collect [`DatasetStats`] for both
-    /// inputs, derive every TOUCH knob with the [`JoinPlanner`] cost model, and
-    /// dispatch to the sequential, parallel or streaming engine — whichever the
-    /// plan selects for this query on this machine ([`AutoEngine`]).
+    /// **Automatic planning** (the default): collect
+    /// [`DatasetStats`](touch_core::DatasetStats) for both inputs, derive every
+    /// TOUCH knob with the [`JoinPlanner`] cost model, and dispatch to the
+    /// sequential, parallel or streaming engine — whichever the plan selects for
+    /// this query on this machine ([`AutoEngine`]).
     #[default]
     Auto,
     /// A pre-computed, fully resolved [`JoinPlan`] — executed verbatim by the
@@ -156,70 +156,18 @@ impl SpatialJoinAlgorithm for Engine {
         self.build().name()
     }
 
-    fn plan_for(&self, a: &Dataset, b: &Dataset) -> Option<JoinPlan> {
-        self.build().plan_for(a, b)
-    }
-
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        self.build().join_into(a, b, sink, report)
-    }
-
-    fn join_traced(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        self.build().join_traced(a, b, sink, report, trace)
-    }
-
-    fn plan_self_for(&self, a: &Dataset) -> Option<JoinPlan> {
-        self.build().plan_self_for(a)
-    }
-
-    fn join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-    ) {
-        self.build().join_self_into(a, base, sink, report)
-    }
-
-    fn join_self_traced(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        self.build().join_self_traced(a, base, sink, report, trace)
+    fn plan_for(&self, input: JoinInput<'_>) -> Option<JoinPlan> {
+        self.build().plan_for(input)
     }
 
     fn try_join_into(
         &self,
-        a: &Dataset,
-        b: &Dataset,
+        input: JoinInput<'_>,
         sink: &mut dyn PairSink,
         report: &mut RunReport,
         ctl: ExecControl<'_>,
     ) -> Result<(), JoinError> {
-        self.build().try_join_into(a, b, sink, report, ctl)
-    }
-
-    fn try_join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        self.build().try_join_self_into(a, base, sink, report, ctl)
+        self.build().try_join_into(input, sink, report, ctl)
     }
 }
 
@@ -227,12 +175,12 @@ impl SpatialJoinAlgorithm for Engine {
 ///
 /// Where `touch-core`'s [`touch_core::AutoJoin`] can only execute its plans
 /// sequentially (the parallel and streaming engines live downstream of it),
-/// this engine spans the whole workspace: it collects [`DatasetStats`] for both
-/// inputs (one cheap linear pass each, measured and recorded as
-/// `PlanSummary::stats_time` on the report), plans with the machine's available
-/// parallelism and the sink's pair budget, and dispatches to
-/// [`TouchJoin`], [`ParallelTouchJoin`] or [`OneShotStreaming`] — whichever the
-/// plan's strategy names. The executed plan is recorded on
+/// this engine spans the whole workspace: it collects
+/// [`DatasetStats`](touch_core::DatasetStats) for both inputs (one cheap linear
+/// pass each, measured and recorded as `PlanSummary::stats_time` on the
+/// report), plans with the machine's available parallelism and the sink's pair
+/// budget, and dispatches to [`TouchJoin`], [`ParallelTouchJoin`] or
+/// [`OneShotStreaming`] — whichever the plan's strategy names. The executed plan is recorded on
 /// [`RunReport::plan`] and the resolved engine's name is appended to the
 /// report's algorithm label (e.g. `"TOUCH-AUTO → TOUCH-P4"`).
 ///
@@ -290,82 +238,17 @@ impl SpatialJoinAlgorithm for AutoEngine {
         "TOUCH-AUTO".to_string()
     }
 
-    fn plan_for(&self, a: &Dataset, b: &Dataset) -> Option<JoinPlan> {
-        let (sa, sb) = (DatasetStats::from_dataset(a), DatasetStats::from_dataset(b));
-        Some(self.planner.plan(&sa, &sb, &self.env))
+    fn plan_for(&self, input: JoinInput<'_>) -> Option<JoinPlan> {
+        Some(self.planner.plan_input(input, &self.env).0)
     }
 
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        self.join_traced(a, b, sink, report, &touch_metrics::NoTrace)
-    }
-
-    fn join_traced(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        let stats_start = std::time::Instant::now();
-        let (sa, sb) = (DatasetStats::from_dataset(a), DatasetStats::from_dataset(b));
-        let stats_time = stats_start.elapsed();
-        let mut env = self.env.with_pair_limit(sink.pair_limit());
-        env.epsilon = report.epsilon;
-        let plan = self.planner.plan(&sa, &sb, &env);
-        let engine = Self::resolve(plan);
-        report.algorithm = format!("TOUCH-AUTO → {}", engine.name());
-        engine.join_traced(a, b, sink, report, trace);
-        if let Some(summary) = &mut report.plan {
-            summary.stats_time = stats_time;
-        }
-    }
-
-    fn plan_self_for(&self, a: &Dataset) -> Option<JoinPlan> {
-        let sa = DatasetStats::from_dataset(a);
-        Some(self.planner.plan_self(&sa, &self.env))
-    }
-
-    fn join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-    ) {
-        self.join_self_traced(a, base, sink, report, &touch_metrics::NoTrace)
-    }
-
-    fn join_self_traced(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        // Self-joins are costed on the single input's statistics (work estimate
-        // halved — see `JoinPlanner::plan_self`); the dispatched engine then runs
-        // its in-kernel index-order filter, so pairs and counters stay identical
-        // to the explicitly selected engine at every width.
-        let stats_start = std::time::Instant::now();
-        let sa = DatasetStats::from_dataset(a);
-        let stats_time = stats_start.elapsed();
-        let mut env = self.env.with_pair_limit(sink.pair_limit());
-        env.epsilon = report.epsilon;
-        let plan = self.planner.plan_self(&sa, &env);
-        let engine = Self::resolve(plan);
-        report.algorithm = format!("TOUCH-AUTO → {}", engine.name());
-        engine.join_self_traced(a, base, sink, report, trace);
-        if let Some(summary) = &mut report.plan {
-            summary.stats_time = stats_time;
-        }
-    }
-
+    /// Self-joins are costed on the single input's statistics (work estimate
+    /// halved — see `JoinPlanner::plan_self`); the dispatched engine then runs
+    /// its in-kernel index-order filter, so pairs and counters stay identical
+    /// to the explicitly selected engine at every width.
     fn try_join_into(
         &self,
-        a: &Dataset,
-        b: &Dataset,
+        input: JoinInput<'_>,
         sink: &mut dyn PairSink,
         report: &mut RunReport,
         ctl: ExecControl<'_>,
@@ -376,42 +259,11 @@ impl SpatialJoinAlgorithm for AutoEngine {
             report.completion = cause.completion();
             return Ok(());
         }
-        let stats_start = std::time::Instant::now();
-        let (sa, sb) = (DatasetStats::from_dataset(a), DatasetStats::from_dataset(b));
-        let stats_time = stats_start.elapsed();
-        let mut env = self.env.with_pair_limit(sink.pair_limit());
-        env.epsilon = report.epsilon;
-        let plan = self.planner.plan(&sa, &sb, &env);
+        let env = self.env.with_pair_limit(sink.pair_limit());
+        let (plan, stats_time) = self.planner.plan_input(input, &env);
         let engine = Self::resolve(plan);
         report.algorithm = format!("TOUCH-AUTO → {}", engine.name());
-        engine.try_join_into(a, b, sink, report, ctl)?;
-        if let Some(summary) = &mut report.plan {
-            summary.stats_time = stats_time;
-        }
-        Ok(())
-    }
-
-    fn try_join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        if let Some(cause) = ctl.cancel.triggered() {
-            report.completion = cause.completion();
-            return Ok(());
-        }
-        let stats_start = std::time::Instant::now();
-        let sa = DatasetStats::from_dataset(a);
-        let stats_time = stats_start.elapsed();
-        let mut env = self.env.with_pair_limit(sink.pair_limit());
-        env.epsilon = report.epsilon;
-        let plan = self.planner.plan_self(&sa, &env);
-        let engine = Self::resolve(plan);
-        report.algorithm = format!("TOUCH-AUTO → {}", engine.name());
-        engine.try_join_self_into(a, base, sink, report, ctl)?;
+        engine.try_join_into(input, sink, report, ctl)?;
         if let Some(summary) = &mut report.plan {
             summary.stats_time = stats_time;
         }
@@ -423,7 +275,7 @@ impl SpatialJoinAlgorithm for AutoEngine {
 mod tests {
     use super::*;
     use touch_core::{collect_join, CollectingSink, JoinQuery};
-    use touch_geom::Point3;
+    use touch_geom::{Dataset, Point3};
 
     fn sample(n: usize, seed: u64) -> Dataset {
         let mut state = seed;

@@ -135,12 +135,12 @@ pub use touch_baselines::{
     S3Join, SeededTreeJoin,
 };
 pub use touch_core::{
-    collect_join, count_join, distance_join, AdaptiveParams, AssignmentBuffer, AutoJoin,
-    CallbackSink, CancelCause, CancelToken, CollectingSink, CountingSink, DatasetStats,
-    ExecControl, ExecutionStrategy, FirstKSink, IntoEngine, JoinError, JoinOrder, JoinPlan,
-    JoinPlanner, JoinQuery, LocalJoinParams, LocalJoinScratch, LocalJoinStrategy, PairSink,
-    PlanEnv, Predicate, ScratchPool, ShardedSink, SinkShard, SpatialJoinAlgorithm, TouchConfig,
-    TouchJoin, TouchTree,
+    collect_join, count_join, distance_join, join_in_one_phase, AdaptiveParams, AssignmentBuffer,
+    AutoJoin, CallbackSink, CancelCause, CancelToken, CollectingSink, CountingSink, DatasetStats,
+    ExecControl, ExecutionStrategy, FirstKSink, IntoEngine, JoinError, JoinInput, JoinOrder,
+    JoinPlan, JoinPlanner, JoinQuery, LocalJoinParams, LocalJoinScratch, LocalJoinStrategy,
+    PairSink, PlanEnv, Predicate, ScratchPool, ShardedSink, SinkShard, SpatialJoinAlgorithm,
+    TouchConfig, TouchJoin, TouchTree,
 };
 pub use touch_datagen::{
     MovingObjectsSpec, NeuroscienceSpec, SyntheticDistribution, SyntheticSpec, VelocityDistribution,

@@ -10,10 +10,11 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 use touch::{
-    Aabb, CancelToken, CollectingSink, Completion, Dataset, ExecControl, FaultPlan, FirstKSink,
-    JoinError, JoinQuery, JoinServer, ObjectId, OneShotStreaming, PairSink, ParallelTouchJoin,
-    Point3, Seam, ServeConfig, SpatialJoinAlgorithm, StreamingConfig, StreamingTouchJoin,
-    SyntheticDistribution, SyntheticSpec, TickConfig, TickEngine, TouchConfig, TouchJoin, World,
+    Aabb, Baseline, CancelToken, CollectingSink, Completion, Dataset, Engine, ExecControl,
+    FaultPlan, FirstKSink, JoinError, JoinQuery, JoinServer, ObjectId, OneShotStreaming, PairSink,
+    ParallelTouchJoin, Phase, Point3, Seam, ServeConfig, SpatialJoinAlgorithm, StreamingConfig,
+    StreamingTouchJoin, SyntheticDistribution, SyntheticSpec, TickConfig, TickEngine, TouchConfig,
+    TouchJoin, World,
 };
 
 const EPS: f64 = 1.5;
@@ -115,26 +116,76 @@ fn untriggered_tokens_change_nothing_for_every_engine_and_thread_count() {
     }
 }
 
+/// Every engine the facade selects: the three TOUCH engines at 1 and 4
+/// workers, the auto planner and every baseline in its paper configuration.
+fn every_engine() -> Vec<(String, Box<dyn SpatialJoinAlgorithm>)> {
+    let mut all = Vec::new();
+    for threads in [1, 4] {
+        all.extend(
+            engines(threads).into_iter().map(|(name, algo)| (format!("{name}({threads})"), algo)),
+        );
+    }
+    all.push(("auto".to_string(), Box::new(Engine::Auto)));
+    all.extend(Baseline::ALL.iter().map(|b| (format!("{b:?}"), b.build())));
+    all
+}
+
+/// The query under test: a two-way ε-join of `a` and `b`, or the ε self-join
+/// of `a`.
+fn eps_query<'a>(a: &'a Dataset, b: &'a Dataset, self_join: bool) -> JoinQuery<'a> {
+    let query = if self_join { JoinQuery::self_join(a) } else { JoinQuery::new(a, b) };
+    query.within_distance(EPS)
+}
+
 /// A token tripped before the run starts yields an empty report stamped with
-/// the cause — not an error — and the sink stays empty but finished.
+/// the cause — not an error — and the sink stays empty but finished. Holds
+/// for every engine, two-way and self-join alike.
 #[test]
 fn pre_cancelled_queries_return_stamped_empty_reports() {
     let a = synthetic(300, 13);
     let b = synthetic(300, 14);
-    for threads in [1, 4] {
-        for (name, algo) in engines(threads) {
+    for (name, algo) in every_engine() {
+        for self_join in [false, true] {
             let token = CancelToken::new();
             token.cancel();
             let mut sink = CollectingSink::new();
-            let report = JoinQuery::new(&a, &b)
-                .within_distance(EPS)
+            let report = eps_query(&a, &b, self_join)
                 .engine(algo.as_ref())
                 .cancel(&token)
                 .try_run(&mut sink)
                 .expect("cancellation with a report to return is not an error");
-            assert_eq!(report.completion, Completion::Cancelled, "{name}({threads})");
-            assert_eq!(report.result_pairs(), 0, "{name}({threads})");
-            assert!(sink.pairs().is_empty(), "{name}({threads})");
+            assert_eq!(report.completion, Completion::Cancelled, "{name} self={self_join}");
+            assert_eq!(report.result_pairs(), 0, "{name} self={self_join}");
+            assert!(sink.pairs().is_empty(), "{name} self={self_join}");
+        }
+    }
+}
+
+/// A sink that fails on the first pair it is handed.
+struct PanickingSink;
+
+impl PairSink for PanickingSink {
+    fn push(&mut self, _: ObjectId, _: ObjectId) {
+        panic!("sink rejected its first pair");
+    }
+}
+
+/// A baseline has no internal phases, so a panic anywhere in its run — here
+/// raised by the sink — is contained as one join-phase failure of worker 0.
+#[test]
+fn panicking_sinks_fail_every_baseline_as_a_join_phase_error() {
+    let a = synthetic(300, 13);
+    let b = synthetic(300, 14);
+    for baseline in Baseline::ALL {
+        for self_join in [false, true] {
+            let err = eps_query(&a, &b, self_join)
+                .engine(baseline.build())
+                .try_run(&mut PanickingSink)
+                .expect_err("a panicking sink must surface as an error");
+            assert!(
+                matches!(err, JoinError::WorkerPanicked { phase: Phase::Join, worker: 0, .. }),
+                "{baseline:?} self={self_join}: {err}"
+            );
         }
     }
 }

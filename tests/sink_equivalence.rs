@@ -6,9 +6,9 @@
 
 use proptest::prelude::*;
 use touch::{
-    Baseline, CallbackSink, CollectingSink, CountingSink, Dataset, Engine, FirstKSink, JoinQuery,
-    NestedLoopJoin, ParallelConfig, PbsmJoin, SpatialJoinAlgorithm, StreamingConfig,
-    SyntheticDistribution, SyntheticSpec, TouchConfig,
+    Baseline, CallbackSink, CollectingSink, CountingSink, Dataset, Engine, ExecControl, FirstKSink,
+    JoinInput, JoinQuery, NestedLoopJoin, ParallelConfig, PbsmJoin, RunReport,
+    SpatialJoinAlgorithm, StreamingConfig, SyntheticDistribution, SyntheticSpec, TouchConfig,
 };
 
 /// Every engine variant of the workspace: the three engines (sequential, parallel
@@ -246,14 +246,22 @@ fn parallel_merge_credits_only_delivered_pairs_for_unbudgeted_done_sinks() {
     }
 }
 
-/// Direct-trait sanity check: the raw `SpatialJoinAlgorithm::join` entry (without
-/// the query layer) also honours early termination.
+/// Direct-trait sanity check: the raw `SpatialJoinAlgorithm::try_join_into`
+/// entry (without the query layer) also honours early termination.
 #[test]
 fn raw_trait_join_honours_first_k() {
     let a = all_intersecting(50);
     let b = all_intersecting(50);
     let mut sink = FirstKSink::new(3);
-    let report = NestedLoopJoin::new().join(&a, &b, &mut sink);
+    let mut report = RunReport::new("NL", a.len(), b.len());
+    NestedLoopJoin::new()
+        .try_join_into(
+            JoinInput::Pair { a: &a, b: &b },
+            &mut sink,
+            &mut report,
+            ExecControl::infallible(),
+        )
+        .expect("the nested loop join cannot fail");
     assert_eq!(sink.count(), 3);
     assert_eq!(report.counters.comparisons, 3);
 }
